@@ -1,5 +1,6 @@
 #include "core/fedtiny.h"
 
+#include <algorithm>
 #include <cassert>
 #include <numeric>
 
@@ -88,22 +89,21 @@ void FedTinyTrainer::after_aggregate(int round) {
 }
 
 double FedTinyTrainer::extra_device_flops(int round, const fl::RoundPlan& plan) {
-  (void)plan;  // per-device: one extra batch, independent of cohort size
   if (!ft_config_.progressive_pruning || !ft_config_.schedule.is_pruning_round(round)) return 0.0;
-  // One extra batch whose backward computes dense weight gradients for the
-  // scheduled block's layers (everything else stays sparse).
-  const auto densities = mask_.layer_densities();
-  double dense_block_extra = 0.0;
-  for (int pos : block_for_round(round)) {
-    for (const auto& layer : cost_.weight_layers) {
-      if (layer.prunable_pos == pos) {
-        dense_block_extra += static_cast<double>(layer.flops_per_sample) *
-                             (1.0 - densities[static_cast<size_t>(pos)]);
-      }
-    }
+  // What the probe (FederatedTrainer::topk_pruned_grads) runs per device: a
+  // dense forward of the whole model on min(2 * batch_size, n_k) samples,
+  // then a dense backward (2x forward, weight layers only) from the output
+  // down to the top-level child holding the earliest layer with a quota.
+  const size_t first = probe_stop_child(quotas_for_round(round));
+  double backward = 0.0;
+  for (const auto& layer : cost_.weight_layers) {
+    if (layer.top_child >= first) backward += 2.0 * static_cast<double>(layer.flops_per_sample);
   }
-  const double sparse = cost_.sparse_training_flops(densities);
-  return static_cast<double>(config().batch_size) * (sparse + dense_block_extra);
+  // The cohort's mean local size stands in for n_k.
+  const double mean_size =
+      plan.total_samples / static_cast<double>(std::max(1, plan.effective_participants));
+  const double samples = std::min(2.0 * static_cast<double>(config().batch_size), mean_size);
+  return samples * (static_cast<double>(cost_.dense_forward_flops()) + backward);
 }
 
 double FedTinyTrainer::extra_comm_bytes(int round, const fl::RoundPlan& plan) {

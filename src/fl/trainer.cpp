@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
 
@@ -12,6 +13,7 @@
 #include "fl/payload.h"
 #include "metrics/comms.h"
 #include "nn/loss.h"
+#include "nn/sequential.h"
 #include "nn/sgd.h"
 #include "prune/sparse_exec.h"
 #include "tensor/parallel.h"
@@ -164,7 +166,16 @@ std::vector<std::vector<prune::ScoredIndex>> FederatedTrainer::topk_pruned_grads
   model.zero_grad();
   Tensor logits = model.forward(batch.x, nn::Mode::kTrain);
   auto loss = nn::softmax_cross_entropy(logits, batch.y);
-  model.backward(loss.grad_logits);
+  // Only the requested layers' gradients are read, so the backward stops at
+  // the top-level child holding the earliest of them: layers below it (the
+  // stem, and for output-side blocks every earlier stage) never run their
+  // backward. Every gradient that is read comes from the same kernels on the
+  // same inputs as a full backward, so the top-K lists are bitwise unchanged.
+  if (auto* root = dynamic_cast<nn::Sequential*>(model.root())) {
+    root->backward_until(loss.grad_logits, std::min(probe_stop_child(quota), root->size()));
+  } else {
+    model.backward(loss.grad_logits);
+  }
 
   for (size_t l = 0; l < prunable.size(); ++l) {
     if (quota[l] <= 0) continue;
@@ -178,6 +189,16 @@ std::vector<std::vector<prune::ScoredIndex>> FederatedTrainer::topk_pruned_grads
   }
   model.zero_grad();
   return out;
+}
+
+size_t FederatedTrainer::probe_stop_child(const std::vector<int64_t>& quota) const {
+  size_t first = SIZE_MAX;
+  for (const auto& layer : cost_.weight_layers) {
+    if (layer.prunable_pos >= 0 && quota[static_cast<size_t>(layer.prunable_pos)] > 0) {
+      first = std::min(first, layer.top_child);
+    }
+  }
+  return first;
 }
 
 double FederatedTrainer::round_training_flops(int round, const RoundPlan& plan) {

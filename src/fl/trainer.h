@@ -211,10 +211,18 @@ class FederatedTrainer {
   void local_train(nn::Model& model, int client, int round, float lr);
 
   /// After local training: top-`quota[l]` gradient magnitudes at pruned
-  /// coordinates of each requested layer, computed on one local batch
-  /// through a bounded buffer (Alg. 2 line 12, O(a_l) memory).
+  /// coordinates of each requested layer, computed on the client's first
+  /// min(2 * batch_size, n_k) samples through a bounded buffer (Alg. 2 line
+  /// 12, O(a_l) memory). The forward is dense over the whole model; the
+  /// backward stops at the top-level child of the root Sequential that holds
+  /// the earliest requested layer.
   std::vector<std::vector<prune::ScoredIndex>> topk_pruned_grads(
       nn::Model& model, int client, const std::vector<int64_t>& quota);
+
+  /// The top-level child of the root Sequential that holds the earliest
+  /// prunable layer with a nonzero quota (cost_.weight_layers' top_child);
+  /// SIZE_MAX when no layer has one. The probe's backward stops there.
+  [[nodiscard]] size_t probe_stop_child(const std::vector<int64_t>& quota) const;
 
   /// Zero out masked coordinates of the global state.
   void apply_mask_to_global();

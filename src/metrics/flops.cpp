@@ -1,9 +1,11 @@
 #include "metrics/flops.h"
 
 #include <cassert>
+#include <utility>
 
 #include "nn/conv2d.h"
 #include "nn/linear.h"
+#include "nn/sequential.h"
 
 namespace fedtiny::metrics {
 
@@ -52,8 +54,22 @@ ModelCost analyze_model(nn::Model& model) {
     return -1;
   };
 
+  // Every leaf with the index of the root's top-level child that holds it,
+  // in model.leaves() order.
+  std::vector<std::pair<nn::Layer*, size_t>> leaves;
+  if (auto* root = dynamic_cast<nn::Sequential*>(model.root())) {
+    std::vector<nn::Layer*> held;
+    for (size_t i = 0; i < root->size(); ++i) {
+      held.clear();
+      root->at(i)->collect_leaves(held);
+      for (auto* leaf : held) leaves.emplace_back(leaf, i);
+    }
+  } else {
+    for (auto* leaf : model.leaves()) leaves.emplace_back(leaf, 0);
+  }
+
   ModelCost cost;
-  for (auto* leaf : model.leaves()) {
+  for (const auto& [leaf, child] : leaves) {
     if (auto* conv = dynamic_cast<nn::Conv2d*>(leaf)) {
       LayerCost lc;
       lc.name = conv->name();
@@ -62,6 +78,7 @@ ModelCost analyze_model(nn::Model& model) {
                             conv->kernel() * conv->kernel();
       lc.params = conv->weight().value.numel();
       lc.prunable_pos = prunable_pos_of(&conv->weight());
+      lc.top_child = child;
       // BN (4 ops) + ReLU (1 op) per conv output element, a standard
       // approximation for the density-independent overhead.
       cost.overhead_flops_per_sample += 5 * conv->out_channels() * out_spatial;
@@ -72,6 +89,7 @@ ModelCost analyze_model(nn::Model& model) {
       lc.flops_per_sample = 2 * linear->in_features() * linear->out_features();
       lc.params = linear->weight().value.numel();
       lc.prunable_pos = prunable_pos_of(&linear->weight());
+      lc.top_child = child;
       cost.weight_layers.push_back(std::move(lc));
     }
   }

@@ -19,6 +19,10 @@ struct LayerCost {
   /// Position in Model::prunable_indices(), or -1 if not prunable
   /// (input conv / output linear).
   int prunable_pos = -1;
+  /// Index of the root Sequential's top-level child that holds this layer (0
+  /// when the root is not a Sequential): a backward stopped at child c runs
+  /// every layer whose top_child >= c.
+  size_t top_child = 0;
 };
 
 struct ModelCost {

@@ -10,9 +10,12 @@ Tensor Sequential::forward(const Tensor& x, Mode mode) {
   return cur;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
+Tensor Sequential::backward(const Tensor& grad_output) { return backward_until(grad_output, 0); }
+
+Tensor Sequential::backward_until(const Tensor& grad_output, size_t first) {
+  assert(first <= layers_.size());
   Tensor cur = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) cur = (*it)->backward(cur);
+  for (size_t i = layers_.size(); i > first; --i) cur = layers_[i - 1]->backward(cur);
   return cur;
 }
 

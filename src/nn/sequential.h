@@ -27,6 +27,12 @@ class Sequential final : public Layer {
 
   Tensor forward(const Tensor& x, Mode mode) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Backward through layers size()-1 down to `first` only; returns the
+  /// gradient w.r.t. layer `first`'s input. Layers before `first` keep their
+  /// gradients untouched, so a caller that reads no gradient below `first`
+  /// (the pruning-round top-K probe) skips their cost. backward() is
+  /// backward_until(grad, 0).
+  Tensor backward_until(const Tensor& grad_output, size_t first);
   void collect_params(std::vector<Param*>& out) override;
   void collect_leaves(std::vector<Layer*>& out) override;
   [[nodiscard]] std::string kind() const override { return "Sequential"; }

@@ -36,9 +36,11 @@
 
 // Multiversion hot helpers on ELF x86-64 where the compiler understands
 // target_clones (GCC and recent Clang); elsewhere compile the portable
-// baseline only.
+// baseline only. ThreadSanitizer builds also take the baseline: the clones'
+// ifunc resolvers run during relocation, before the TSan runtime is
+// initialized, and an instrumented resolver crashes the process at load.
 #if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
+#if __has_attribute(target_clones) && !defined(__SANITIZE_THREAD__)
 #define FEDTINY_KERNEL_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
 // Single-target variant for the non-temporal streaming copy: it needs real

@@ -7,9 +7,10 @@
 // Same dispatch idiom as kernels_fast.cpp: scalar loops compiled once per
 // ISA via target_clones (the loops below auto-vectorize), plus an
 // explicitly-SIMD SSSE3 shuffle decoder for the varint stream behind a
-// runtime __builtin_cpu_supports check.
+// runtime __builtin_cpu_supports check. ThreadSanitizer builds take the
+// baseline, as there.
 #if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
+#if __has_attribute(target_clones) && !defined(__SANITIZE_THREAD__)
 #define FEDTINY_QUANT_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
